@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the tier-1 gate used by CI and
 # by ROADMAP.md; `make race` covers the packages with real concurrency
 # (the TCP transport, the nemesis fault injector, the parallel
-# experiment harness and the client gateway); `make chaos` is the seeded
+# experiment harness, the client gateway, and the node coordinator and
+# VP core that run on real-time engines); `make chaos` is the seeded
 # fault-injection gate and `make loadtest` the gateway smoke gate.
 
 GO ?= go
@@ -20,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
+	$(GO) test -race -count=1 ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
 
 # Run every benchmark in the repository.
 bench:
@@ -104,13 +105,12 @@ LOAD_SEED ?= 1
 loadtest:
 	$(GO) run ./cmd/vpload -local 3 -smoke -clients 8 -duration 3s -seed $(LOAD_SEED)
 
-# Regenerate BENCH_gateway.json: two ablations over the same paced
-# 1500 writes/sec load against one contended object on a local 3-node
-# cluster, with coordinated-omission-corrected latency (see
-# EXPERIMENTS.md). group_commit is batching off vs on; codec is the gob
-# wire codec vs the binary one (batching on in both).
+# Regenerate BENCH_gateway.json: the group-commit ablation (batching
+# off vs on) over the same paced 1500 writes/sec load against one
+# contended object on a local 3-node cluster, with
+# coordinated-omission-corrected latency (see EXPERIMENTS.md).
 bench-gateway:
-	$(GO) run ./cmd/vpload -local 3 -compare -codec-compare -clients 32 -rate 1500 \
+	$(GO) run ./cmd/vpload -local 3 -compare -clients 32 -rate 1500 \
 		-duration 8s -read-fraction 0 -objects 1 -out BENCH_gateway.json
 	@cat BENCH_gateway.json
 
@@ -140,9 +140,9 @@ bench-shard:
 
 # Regenerate BENCH_durable.json: journal recovery time (newest snapshot
 # + segment-tail replay) and R5 catch-up cost at 1e3→1e5 objects, delta
-# vs full copy. B/op on the catch-up benches is the payload shipped to
-# the rejoiner — the §6 claim is that it scales with the missed writes,
-# not the database. benchjson refuses a cross-host overwrite; pass
+# vs full copy. wire-B/op on the catch-up benches is the payload shipped
+# to the rejoiner — the §6 claim is that it scales with the missed
+# writes, not the database — and B/op is the real allocation figure. benchjson refuses a cross-host overwrite; pass
 # BENCHJSON_FLAGS=-force after an intentional host change.
 bench-durable:
 	$(GO) test -run '^$$' -bench 'Recovery|CatchupDelta|CatchupFullCopy' \
@@ -179,7 +179,7 @@ campaign:
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-default.json -parallel 4 -v
 
 # Full-stack matrix: TCP nodes + durable journals + gateway per cell,
-# group-commit × codec under a mixed nemesis. Minutes, not for CI.
+# group commit off and on under a mixed nemesis. Minutes, not for CI.
 campaign-live:
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-live.json -v
 

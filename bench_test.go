@@ -19,7 +19,6 @@ import (
 	"github.com/virtualpartitions/vp/internal/bench"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/onecopy"
-	"github.com/virtualpartitions/vp/internal/wire"
 	"github.com/virtualpartitions/vp/internal/workload"
 )
 
@@ -185,27 +184,6 @@ func serialHistory(n int) []onecopy.TxnRecord {
 		cur[obj] = ver
 	}
 	return recs
-}
-
-// BenchmarkWirdGobRoundTrip measures envelope encode+decode, the TCP
-// transport's per-message cost.
-func BenchmarkWireGobRoundTrip(b *testing.B) {
-	env := wire.Envelope{From: 1, To: 2, Msg: wire.Prepare{
-		Txn:   model.TxnID{Start: 1, P: 1, Seq: 1},
-		Epoch: model.VPID{N: 3, P: 1}, HasEpoch: true,
-		Writes: []wire.ObjWrite{{Obj: "x", Val: 42,
-			Ver: model.Version{Date: model.VPID{N: 3, P: 1}, Ctr: 9}}},
-	}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := wire.Encode(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wire.Decode(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkE13ReplicationFactor regenerates E13: copies-per-object sweep

@@ -32,6 +32,9 @@ type benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// WireBytesPerOp is a benchmark's own "wire-B/op" metric: payload
+	// bytes shipped per operation, kept apart from -benchmem's B/op.
+	WireBytesPerOp float64 `json:"wire_bytes_per_op,omitempty"`
 }
 
 type report struct {
@@ -137,6 +140,8 @@ func parseLine(line string) (benchmark, bool) {
 			b.BytesPerOp, err = strconv.ParseInt(val, 10, 64)
 		case "allocs/op":
 			b.AllocsPerOp, err = strconv.ParseInt(val, 10, 64)
+		case "wire-B/op":
+			b.WireBytesPerOp, err = strconv.ParseFloat(val, 64)
 		}
 		if err != nil {
 			return benchmark{}, false

@@ -15,7 +15,7 @@ BenchmarkWireRoundTrip-4   	  743631	      1776 ns/op	     328 B/op	       5 all
 BenchmarkEncodeOnly-4      	 1000000	      1042 ns/op
 PASS
 pkg: github.com/virtualpartitions/vp/internal/bench
-BenchmarkSimSteadyState-4  	     120	   9876543 ns/op	   65536 B/op	     900 allocs/op
+BenchmarkSimSteadyState-4  	     120	   9876543 ns/op	       544.0 wire-B/op	   65536 B/op	     900 allocs/op
 ok  	github.com/virtualpartitions/vp/internal/bench	2.1s
 `
 
@@ -53,8 +53,14 @@ func TestConvert(t *testing.T) {
 	}
 
 	// The second pkg: line re-attributes subsequent benchmarks.
-	if rep.Benchmarks[2].Package != "github.com/virtualpartitions/vp/internal/bench" {
-		t.Errorf("package attribution not updated: %q", rep.Benchmarks[2].Package)
+	third := rep.Benchmarks[2]
+	if third.Package != "github.com/virtualpartitions/vp/internal/bench" {
+		t.Errorf("package attribution not updated: %q", third.Package)
+	}
+	// A benchmark's own wire-B/op metric lands in its own field and
+	// leaves -benchmem's B/op alone.
+	if third.WireBytesPerOp != 544 || third.BytesPerOp != 65536 || third.AllocsPerOp != 900 {
+		t.Errorf("wire-B/op column misparsed: %+v", third)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Cluster demo: the same protocol code deployed over real TCP. Three
 // processors run in this process, each with its own listener, talking
-// gob-encoded envelopes; a client submits transactions over the wire —
+// binary-encoded envelopes; a client submits transactions over the wire —
 // exactly what cmd/vpnode and cmd/vpctl do across machines.
 //
 //	go run ./examples/cluster

@@ -15,11 +15,10 @@ import (
 // Snapshots, which the determinism gate and the -parallel digest
 // comparison rely on.
 //
-// The codec axis is made meaningful on a backend with no sockets by
-// routing every delivered remote message through an encode/decode
-// round-trip of the cell's codec (the SimCluster.Transcode hook), so a
-// codec bug that corrupts a field breaks invariants here too, not only
-// on the live stack.
+// Every delivered remote message goes through a binary encode/decode
+// round-trip (the SimCluster.Transcode hook), so a codec bug that
+// corrupts a field breaks invariants on a backend with no sockets too,
+// not only on the live stack.
 type simPlatform struct {
 	r        *bench.Runner
 	rec      *trace.Recorder
@@ -43,8 +42,8 @@ func (p *simPlatform) Start(cfg ClusterConfig) error {
 		Delta:    cfg.Delta,
 	})
 	p.rec = p.r.EnableTrace(1 << 18)
-	enc := wire.NewFrameEncoder(cfg.Codec)
-	dec := wire.NewDecoder()
+	enc := wire.NewBinaryEncoder()
+	dec := wire.NewBinaryDecoder()
 	p.r.Cluster.Transcode = func(env wire.Envelope) wire.Envelope {
 		frame, err := enc.EncodeFrame(&env)
 		if err != nil {

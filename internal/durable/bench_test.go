@@ -71,8 +71,9 @@ func BenchmarkRecovery(b *testing.B) {
 // missed `missed` writes, and the serving peer consults its retained
 // WAL tail only for the objects that are actually stale (the date
 // vectors match everywhere else, so those objects never reach the
-// journal). B/op is the payload actually shipped — value + version per
-// entry — independent of how many objects the database holds.
+// journal). wire-B/op is the payload actually shipped — value + version
+// per entry — independent of how many objects the database holds; B/op
+// stays the real -benchmem allocation figure.
 func BenchmarkCatchupDelta(b *testing.B) {
 	const missed = 16
 	for _, objects := range []int{1_000, 10_000, 100_000} {
@@ -112,15 +113,15 @@ func BenchmarkCatchupDelta(b *testing.B) {
 				}
 				bytes = payload
 			}
-			b.ReportMetric(float64(bytes), "B/op")
+			b.ReportMetric(float64(bytes), "wire-B/op")
 		})
 	}
 }
 
 // BenchmarkCatchupFullCopy is the fallback the delta path replaces: the
-// rejoiner copies every shared object wholesale. B/op is the serialized
-// full state — compare against BenchmarkCatchupDelta at the same object
-// count for the §6 payoff.
+// rejoiner copies every shared object wholesale. wire-B/op is the
+// serialized full state — compare against BenchmarkCatchupDelta at the
+// same object count for the §6 payoff.
 func BenchmarkCatchupFullCopy(b *testing.B) {
 	for _, objects := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("objs=%d", objects), func(b *testing.B) {
@@ -136,7 +137,7 @@ func BenchmarkCatchupFullCopy(b *testing.B) {
 				buf := appendState(nil, st)
 				bytes = int64(len(buf))
 			}
-			b.ReportMetric(float64(bytes), "B/op")
+			b.ReportMetric(float64(bytes), "wire-B/op")
 		})
 	}
 }

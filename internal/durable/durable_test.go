@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -369,29 +370,30 @@ func TestHardCrashDropsPendingBatch(t *testing.T) {
 	}
 }
 
-func TestLegacyJournalMigration(t *testing.T) {
+// TestLegacyJournalRefused: a directory holding the retired single-file
+// gob journal must not open. Starting an empty journal beside it would
+// lose every write it acknowledged; the error names the file and the
+// directory is left exactly as found.
+func TestLegacyJournalRefused(t *testing.T) {
 	dir := t.TempDir()
-	// Write a legacy single-file gob journal by hand.
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	legacy := filepath.Join(dir, legacyName)
-	writeLegacyGob(t, legacy, []*record{
-		{SetMaxID: &model.VPID{N: 4, P: 2}},
-		{ApplyObj: "x", ApplyVal: 77, ApplyVer: &model.Version{Date: v(4, 2), Ctr: 1}},
-	})
-	st, j, err := Open(dir)
-	if err != nil {
+	body := []byte("acknowledged writes in the old format")
+	if err := os.WriteFile(legacy, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	if st.MaxID != v(4, 2) || st.Copies["x"].Val != 77 {
-		t.Fatalf("migrated state = %+v", st)
+	_, j, err := Open(dir)
+	if err == nil {
+		j.Close()
+		t.Fatal("Open accepted a directory holding wal.gob")
 	}
-	if !j.Recovery().Migrated {
-		t.Fatal("migration not reported")
+	if !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("error %q does not name %s", err, legacy)
 	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatal("legacy wal.gob not removed after migration")
+	got, rerr := os.ReadFile(legacy)
+	if rerr != nil || !bytes.Equal(got, body) {
+		t.Fatalf("wal.gob not left in place: %q, %v", got, rerr)
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Fatalf("Open wrote beside wal.gob: %v", names)
 	}
 }

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,23 +9,6 @@ import (
 
 	"github.com/virtualpartitions/vp/internal/model"
 )
-
-func writeLegacyGob(t *testing.T, path string, recs []*record) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(f)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func stateEqual(a, b *State) bool {
 	return a.MaxID == b.MaxID &&
@@ -237,24 +219,7 @@ func TestLogSinceServesRetainedTail(t *testing.T) {
 }
 
 func TestRecordCodecRoundTrip(t *testing.T) {
-	vv := model.Version{Date: v(3, 2), Ctr: 9, Writer: txn(5)}
-	recs := []*record{
-		{SetMaxID: &model.VPID{N: 7, P: 3}},
-		{ApplyObj: "obj-1", ApplyVal: -42, ApplyVer: &vv},
-		{StageTxn: &model.TxnID{Start: -5, P: 2, Seq: 8}, StageObj: "o",
-			StageW: &StagedWrite{Val: 1, Ver: vv, Delta: true, MissedBy: []model.ProcID{4, 5}}},
-		{DropTxn: &model.TxnID{Start: 1, P: 1, Seq: 1}, DropObj: ""},
-		{DecideTxn: &model.TxnID{Start: 2, P: 2, Seq: 2}, DecideCommit: true, DecidePending: []model.ProcID{1}},
-		{DoneTxn: &model.TxnID{Start: 3, P: 3, Seq: 3}},
-	}
-	st := NewState()
-	st.MaxID = v(9, 1)
-	st.Copies["x"] = model.Copy{Val: 4, Ver: vv}
-	st.Staged[txn(1)] = map[model.ObjectID]StagedWrite{"x": {Val: 5, Ver: vv}}
-	st.Decides[txn(2)] = DecideRec{Commit: false, Pending: []model.ProcID{2, 3}}
-	recs = append(recs, &record{Snapshot: st})
-
-	for i, r := range recs {
+	for i, r := range walSeedRecords() {
 		frame := appendFrame(nil, r)
 		var back record
 		n := 0

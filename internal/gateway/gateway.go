@@ -62,8 +62,9 @@ type Config struct {
 	ShardSeed     int64
 	ShardReplicas int
 
-	// Codec selects the wire encoding the pool's node connections use
-	// (default wire.CodecBinary; nodes auto-detect per frame either way).
+	// Codec is ignored: node connections always use wire.CodecBinary,
+	// the only codec. The field stays so perfbench, which sets it, builds
+	// unchanged; drop it with the next change to the benchmark.
 	Codec wire.CodecID
 
 	// TraceSample enables causal tracing of client requests: 1-in-N
@@ -187,7 +188,7 @@ func (g *Gateway) mintRoot() model.TraceCtx {
 func New(cfg Config) *Gateway {
 	cfg.fill()
 	g := newWithBackend(cfg, nil)
-	g.pool = newPool(cfg.Cluster, cfg.Health, cfg.PerTry, cfg.Codec, cfg.Metrics)
+	g.pool = newPool(cfg.Cluster, cfg.Health, cfg.PerTry, cfg.Metrics)
 	g.backend = g.pool
 	g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.pool, g.tags, g.spans,
 		cfg.Deadline, g.reg, g.tr, g.clock)

@@ -4,7 +4,7 @@ package model
 // (Dapper-style): a 64-bit trace id naming one end-to-end request, the
 // 32-bit id of the span doing the sending, and the id of that span's
 // parent. The zero value means "untraced" and costs nothing on the wire;
-// both codecs encode a non-zero context behind a flag bit so untraced
+// the wire codec encodes a non-zero context behind a flag bit so untraced
 // frames stay byte-identical to the pre-tracing format.
 type TraceCtx struct {
 	Trace  uint64

@@ -37,9 +37,8 @@ type Client struct {
 	dialTimeout time.Duration
 
 	mu      sync.Mutex
-	codec   wire.CodecID
 	conn    stdnet.Conn
-	enc     wire.FrameEncoder
+	enc     *wire.BinaryEncoder
 	wq      stdnet.Buffers // frames awaiting flush
 	wheld   []*frameBuf    // pooled backing buffers for wq
 	wsig    chan struct{}  // flush doorbell; closed on teardown
@@ -47,22 +46,13 @@ type Client struct {
 	closed  bool
 }
 
-// NewClient returns an unconnected client for the node at addr, encoding
-// with the default binary codec. The first Submit dials. dialTimeout <=
-// 0 selects 2s.
+// NewClient returns an unconnected client for the node at addr. The
+// first Submit dials. dialTimeout <= 0 selects 2s.
 func NewClient(addr string, dialTimeout time.Duration) *Client {
 	if dialTimeout <= 0 {
 		dialTimeout = 2 * time.Second
 	}
-	return &Client{addr: addr, dialTimeout: dialTimeout}
-}
-
-// SetCodec selects the outbound wire codec. Call before the first
-// Submit; the receive side always auto-detects.
-func (c *Client) SetCodec(id wire.CodecID) {
-	c.mu.Lock()
-	c.codec = id
-	c.mu.Unlock()
+	return &Client{addr: addr, dialTimeout: dialTimeout, enc: wire.NewBinaryEncoder()}
 }
 
 // Addr returns the node address this client dials.
@@ -93,7 +83,6 @@ func (c *Client) SubmitCtx(t wire.ClientTxn, ctx model.TraceCtx, timeout time.Du
 			return wire.ClientResult{}, err
 		}
 		c.conn = conn
-		c.enc = wire.NewFrameEncoder(c.codec)
 		c.wsig = make(chan struct{}, 1)
 		c.pending = make(map[uint64]chan wire.ClientResult)
 		go c.readLoop(conn)
@@ -171,7 +160,7 @@ func (c *Client) writeLoop(conn stdnet.Conn, sig chan struct{}) {
 // Submit waiting on its tag. Any read error tears the connection down,
 // failing all in-flight submissions; the next Submit re-dials.
 func (c *Client) readLoop(conn stdnet.Conn) {
-	dec := wire.NewDecoder()
+	dec := wire.NewBinaryDecoder()
 	fb := frameScratch.Get().(*frameBuf)
 	defer frameScratch.Put(fb)
 	for {
@@ -212,7 +201,6 @@ func (c *Client) teardownLocked() {
 		c.conn.Close()
 		c.conn = nil
 	}
-	c.enc = nil
 	if c.wsig != nil {
 		close(c.wsig)
 		c.wsig = nil

@@ -37,7 +37,7 @@ type SimCluster struct {
 	DropInFlight bool
 
 	// Transcode, when set, is applied to every remote message at send
-	// time and its result is what gets delivered. The cross-codec
+	// time and its result is what gets delivered. The golden codec
 	// equivalence test uses it to route the deterministic scenarios
 	// through a real wire codec round-trip: if an encode/decode pair
 	// alters any message, the divergence shows up in the run's results.

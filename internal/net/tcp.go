@@ -32,11 +32,9 @@ type TCPConfig struct {
 	// beyond it are dropped and accounted — backpressure is a performance
 	// failure the protocol tolerates, never a blocked sender.
 	QueueLen int
-	// Codec selects the wire encoding for outbound frames. The zero
-	// value is wire.CodecBinary (the hand-rolled zero-copy codec);
-	// wire.CodecGob selects the PR-1 streaming gob codec. Inbound frames
-	// are always auto-detected per frame, so the two ends of a
-	// connection may be configured differently.
+	// Codec is ignored: wire.CodecBinary is the only codec. The field
+	// stays so perfbench, which sets it, builds unchanged; drop it with
+	// the next change to the benchmark.
 	Codec wire.CodecID
 }
 
@@ -68,14 +66,13 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // exponential backoff and jitter, so a transient blip degrades to a
 // bounded burst of omissions instead of permanently severing the link.
 //
-// Every connection carries one persistent encoder per direction
-// (wire.FrameEncoder on the writer, selected by TCPConfig.Codec) and one
-// auto-detecting wire.Decoder on the reader, so mixed-codec clusters
-// interoperate frame by frame. Outbound envelopes are coalesced: the
-// write loop drains everything queued for a peer and flushes the batch
-// with a single vectored write (net.Buffers / writev), so a protocol
-// round's burst to one peer costs one syscall. A reconnect starts a
-// fresh codec pair.
+// Every connection carries one binary encoder on the writer and one
+// binary decoder on the reader. A frame the decoder rejects — corrupt,
+// truncated, or from a peer on another codec — drops the connection,
+// which the protocol sees as omissions. Outbound envelopes are
+// coalesced: the write loop drains everything queued for a peer and
+// flushes the batch with a single vectored write (net.Buffers / writev),
+// so a protocol round's burst to one peer costs one syscall.
 //
 // Clients connect to the same port, send a wire.ClientTxn envelope (From
 // = model.NoProc) and receive wire.ClientResult envelopes back on the
@@ -150,7 +147,7 @@ func (pc *peerConn) closeConn() {
 type acceptedConn struct {
 	conn stdnet.Conn
 	mu   sync.Mutex
-	enc  wire.FrameEncoder
+	enc  *wire.BinaryEncoder
 }
 
 // NewTCPNode creates a node with default transport tuning. See
@@ -253,7 +250,7 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return
 		}
-		ac := &acceptedConn{conn: conn, enc: wire.NewFrameEncoder(n.cfg.Codec)}
+		ac := &acceptedConn{conn: conn, enc: wire.NewBinaryEncoder()}
 		n.connMu.Lock()
 		n.accepted[ac] = struct{}{}
 		n.connMu.Unlock()
@@ -270,13 +267,10 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 		delete(n.accepted, ac)
 		n.connMu.Unlock()
 	}()
-	// One persistent decoder per connection, auto-detecting the codec
-	// per frame (binary frames set the payload high bit; everything else
-	// belongs to the connection's gob stream). Decoded messages are
-	// fully owned: the mailbox is asynchronous and handlers retain
-	// message slices past delivery, so borrowed decoding is not safe
-	// here.
-	dec := wire.NewDecoder()
+	// One persistent decoder per connection. Decoded messages are fully
+	// owned: the mailbox is asynchronous and handlers retain message
+	// slices past delivery, so borrowed decoding is not safe here.
+	dec := wire.NewBinaryDecoder()
 	fb := frameScratch.Get().(*frameBuf)
 	defer frameScratch.Put(fb)
 	for {
@@ -467,38 +461,37 @@ const maxWriteBatch = 64
 // messages to one peer costs one writev instead of one syscall per
 // message.
 func (n *TCPNode) writeLoop(to model.ProcID, pc *peerConn, conn stdnet.Conn) bool {
-	// The loop owns this connection's encoder. A reconnect starts a
-	// fresh pair (which for the gob fallback re-handshakes the type
-	// descriptors; the binary codec is stateless per frame).
-	enc := wire.NewFrameEncoder(n.cfg.Codec)
+	// The loop owns this connection's encoder. It is stateless between
+	// frames, so a message it cannot encode is lost on its own: the
+	// connection carries on.
+	enc := wire.NewBinaryEncoder()
 	held := make([]*frameBuf, 0, maxWriteBatch)
 	bufs := make(stdnet.Buffers, 0, maxWriteBatch)
 	kinds := make([]string, 0, maxWriteBatch)
-	encode := func(env *wire.Envelope) bool {
+	encode := func(env *wire.Envelope) {
 		fb := frameScratch.Get().(*frameBuf)
 		b, err := enc.AppendFrame(fb.b[:0], env)
 		if err != nil {
 			frameScratch.Put(fb)
 			n.drop(to, wire.Kind(env.Msg))
-			return false
+			return
 		}
 		fb.b = b
 		held = append(held, fb)
 		bufs = append(bufs, b)
 		kinds = append(kinds, wire.Kind(env.Msg))
-		return true
 	}
 	for {
 		select {
 		case <-n.stopped:
 			return false
 		case env := <-pc.out:
-			ok := encode(&env)
+			encode(&env)
 		drain:
-			for ok && len(bufs) < maxWriteBatch {
+			for len(bufs) < maxWriteBatch {
 				select {
 				case env = <-pc.out:
-					ok = encode(&env)
+					encode(&env)
 				default:
 					break drain
 				}
@@ -519,13 +512,6 @@ func (n *TCPNode) writeLoop(to model.ProcID, pc *peerConn, conn stdnet.Conn) boo
 				}
 			}
 			held, bufs, kinds = held[:0], bufs[:0], kinds[:0]
-			if !ok {
-				// Encoder failure: the stream is suspect (a gob encoder
-				// may have half-written state); that message is lost and
-				// the connection reconnects with fresh codecs. Frames
-				// encoded before the failure were still flushed above.
-				return true
-			}
 			if werr != nil {
 				return true
 			}
@@ -698,8 +684,6 @@ func (n *TCPNode) Logf(format string, args ...any) {
 
 // SubmitTCP sends a transaction to a node at addr and waits for its
 // result. It is the client side of the TCP transport, used by vpctl.
-// Requests go out in the binary codec (servers auto-detect per frame,
-// so this is always safe regardless of the node's configured codec).
 func SubmitTCP(addr string, t wire.ClientTxn, timeout time.Duration) (wire.ClientResult, error) {
 	conn, err := stdnet.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -717,7 +701,7 @@ func SubmitTCP(addr string, t wire.ClientTxn, timeout time.Duration) (wire.Clien
 	if _, err := conn.Write(frame); err != nil {
 		return wire.ClientResult{}, err
 	}
-	dec := wire.NewDecoder()
+	dec := wire.NewBinaryDecoder()
 	fb := frameScratch.Get().(*frameBuf)
 	defer frameScratch.Put(fb)
 	for {

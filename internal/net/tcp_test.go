@@ -1,8 +1,10 @@
 package net
 
 import (
+	"errors"
 	"fmt"
 	stdnet "net"
+	"os"
 	"testing"
 	"time"
 
@@ -103,50 +105,45 @@ func TestTCPClientSubmit(t *testing.T) {
 	}
 }
 
-// TestTCPMixedCodecPeers runs one node on the gob fallback and one on
-// the binary codec: reads auto-detect per frame, so traffic must flow in
-// both directions regardless of the writers' configs.
-func TestTCPMixedCodecPeers(t *testing.T) {
-	ports := freePorts(t, 2)
-	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	p := &tcpPinger{acked: make(chan struct{})}
-	n1 := NewTCPNodeConfig(1, addrs, p, TCPConfig{Codec: wire.CodecGob})
-	n2 := NewTCPNodeConfig(2, addrs, tcpEcho{}, TCPConfig{Codec: wire.CodecBinary})
-	if err := n2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	defer n2.Stop()
-	if err := n1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	defer n1.Stop()
-	select {
-	case <-p.acked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no ack across mixed-codec peers")
-	}
-}
-
-// TestTCPGobFallbackSubmit submits to a gob-configured node both via the
-// binary one-shot path (SubmitTCP) and via a gob-configured Client.
-func TestTCPGobFallbackSubmit(t *testing.T) {
+// TestTCPNonBinaryFrameDropsConnection sends a node a well-framed
+// payload without the binary codec's flag bit — what a peer on the
+// retired gob codec would write. The node must drop that connection (an
+// omission), not deliver a misread message, and keep serving others.
+func TestTCPNonBinaryFrameDropsConnection(t *testing.T) {
 	ports := freePorts(t, 1)
 	addrs := map[model.ProcID]string{1: ports[0]}
-	n := NewTCPNodeConfig(1, addrs, tcpEcho{}, TCPConfig{Codec: wire.CodecGob})
+	n := NewTCPNode(1, addrs, tcpEcho{})
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	res, err := SubmitTCP(ports[0], wire.ClientTxn{Tag: 3, Ops: wire.IncrementOps("x", 1)}, 5*time.Second)
-	if err != nil || !res.Committed || res.Tag != 3 {
-		t.Fatalf("binary submit to gob node: res=%+v err=%v", res, err)
+
+	frame, err := wire.NewBinaryEncoder().EncodeFrame(&wire.Envelope{From: model.NoProc, To: model.NoProc,
+		Msg: wire.ClientTxn{Tag: 5, Ops: wire.IncrementOps("x", 1)}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := NewClient(ports[0], time.Second)
-	c.SetCodec(wire.CodecGob)
-	defer c.Close()
-	res, err = c.Submit(wire.ClientTxn{Tag: 4, Ops: wire.IncrementOps("x", 1)}, 5*time.Second)
-	if err != nil || !res.Committed || res.Tag != 4 {
-		t.Fatalf("gob client submit: res=%+v err=%v", res, err)
+	frame[wire.FrameHeaderLen] &^= 0x80
+	conn, err := stdnet.DialTimeout("tcp", ports[0], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The node read the whole frame, so its close arrives as EOF (a reset
+	// would also do); a timeout means the connection was kept.
+	if k, err := conn.Read(make([]byte, 64)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read after unflagged frame = %d bytes, %v; want the node to close the connection", k, err)
+	}
+
+	res, err := SubmitTCP(ports[0], wire.ClientTxn{Tag: 6, Ops: wire.IncrementOps("x", 1)}, 5*time.Second)
+	if err != nil || !res.Committed || res.Tag != 6 {
+		t.Fatalf("submit after dropped connection: res=%+v err=%v", res, err)
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // tolerates real-capture defects: duplicated frames (nemesis duplication
 // re-records nothing — spans are recorded node-side — but merged captures
 // may repeat events), dropped frames (a child whose parent span was never
-// recorded becomes an orphan root), and mixed-codec captures (the codec
-// is invisible at this layer; contexts decode identically).
+// recorded becomes an orphan root).
 //
 // Phase statistics and the critical path use only per-span durations,
 // never cross-node timestamp arithmetic, so clock skew between processes

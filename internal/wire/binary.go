@@ -1,14 +1,9 @@
-// Hand-rolled binary codec: the raw-speed replacement for the streaming
-// gob codec of codec.go. The two implementations live behind the same
-// frame discipline (4-byte big-endian length prefix, then a payload whose
-// first byte discriminates the message), so a receiver can tell them
-// apart per frame and a cluster may mix codecs freely during a rollout.
+// Binary wire codec: the one encoding every frame on a TCP link, every
+// client submission and every simulated transcode uses. Frame payload
+// layout (after the transport's 4-byte big-endian length prefix):
 //
-// Frame payload layout (after the transport's length prefix):
-//
-//	byte 0        0x80 | kindID        (the high bit marks the binary
-//	                                    codec; gob stream frames carry the
-//	                                    bare kindID, which is < 0x80)
+//	byte 0        0x80 | kindID        (the high bit is mandatory; a
+//	                                    frame without it is rejected)
 //	uvarint       From (ProcID)
 //	uvarint       To   (ProcID)
 //	...           message body, fixed field order per kind (below)
@@ -51,17 +46,17 @@ import (
 	"github.com/virtualpartitions/vp/internal/model"
 )
 
-// binaryKindFlag marks a frame as binary-codec encoded. The gob stream
-// codec writes the bare kindID (< 0x80) as its first payload byte, so the
-// bit cleanly discriminates the two codecs per frame.
+// binaryKindFlag is set on the first payload byte of every frame. It is
+// wire format: frames without it (the retired gob stream codec wrote the
+// bare kindID) are rejected by the decoder, so an old or foreign peer's
+// frame ends as a dropped connection — an omission — never as a
+// misread message.
 const binaryKindFlag = 0x80
 
 // ctxKindFlag marks a frame as carrying a trace context: three uvarints
-// (Trace, Span, Parent) follow the To field. Both codecs use the same bit
-// on their first payload byte — kind ids stop well below 0x40, and a gob
-// frame with the bit set still stays below 0x80, so codec auto-detection
-// is unaffected. Untraced frames never set the bit and are byte-identical
-// to the pre-tracing format.
+// (Trace, Span, Parent) follow the To field. Kind ids stop well below
+// 0x40. Untraced frames never set the bit and are byte-identical to the
+// pre-tracing format.
 const ctxKindFlag = 0x40
 
 // appendCtx writes a non-zero trace context.
@@ -71,68 +66,21 @@ func appendCtx(b []byte, ctx model.TraceCtx) []byte {
 	return appendUvarint(b, uint64(ctx.Parent))
 }
 
-// CodecID selects a wire codec implementation for the encoding side of a
-// connection. (The decoding side always auto-detects per frame, so both
-// ends of a connection may be configured differently.)
+// CodecID names a wire codec. CodecBinary is its only value; the type
+// survives so configuration structs that name it (net.TCPConfig.Codec,
+// gateway.Config.Codec) keep compiling for callers that set it.
 type CodecID uint8
 
-const (
-	// CodecBinary is the hand-rolled zero-copy binary codec, the default.
-	CodecBinary CodecID = iota
-	// CodecGob is the PR-1 streaming gob codec, kept as the fallback so
-	// captured byte streams stay replayable and a mixed-version cluster
-	// interoperates.
-	CodecGob
-)
-
-func (c CodecID) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// ParseCodec parses a -codec flag value.
-func ParseCodec(s string) (CodecID, error) {
-	switch s {
-	case "binary", "":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return CodecBinary, fmt.Errorf("wire: unknown codec %q (want binary or gob)", s)
-	}
-}
-
-// FrameEncoder is one logical connection's encoding side: either codec
-// implements it. Not safe for concurrent use; each connection writer owns
-// one.
-type FrameEncoder interface {
-	// EncodeFrame serializes env with the transport's length prefix in
-	// place. The returned slice is reused by the next call.
-	EncodeFrame(env *Envelope) ([]byte, error)
-	// AppendFrame serializes env (length prefix included) onto dst and
-	// returns the extended slice. The result is owned by the caller —
-	// this is the entry point for vectored writes, where every frame of
-	// a batch needs its own backing buffer.
-	AppendFrame(dst []byte, env *Envelope) ([]byte, error)
-}
-
-// NewFrameEncoder returns a fresh per-connection encoder for the codec.
-func NewFrameEncoder(c CodecID) FrameEncoder {
-	if c == CodecGob {
-		return NewStreamEncoder()
-	}
-	return NewBinaryEncoder()
-}
+// CodecBinary is the binary codec of this file.
+const CodecBinary CodecID = 0
 
 // ---------------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------------
 
-// BinaryEncoder encodes envelopes in the binary format. Unlike the gob
-// stream codec it is stateless between messages (no descriptor
-// handshake), so any decoder can pick up any frame.
+// BinaryEncoder encodes envelopes in the binary format. It is stateless
+// between messages, so any decoder can pick up any frame. Not safe for
+// concurrent use: each connection writer owns one.
 type BinaryEncoder struct {
 	buf []byte
 }
@@ -153,8 +101,8 @@ func (e *BinaryEncoder) Encode(env *Envelope) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeFrame implements FrameEncoder. The returned slice is reused by
-// the next call.
+// EncodeFrame serializes env with the transport's length prefix in
+// place. The returned slice is reused by the next call.
 func (e *BinaryEncoder) EncodeFrame(env *Envelope) ([]byte, error) {
 	b, err := e.AppendFrame(e.buf[:0], env)
 	if err != nil {
@@ -164,7 +112,10 @@ func (e *BinaryEncoder) EncodeFrame(env *Envelope) ([]byte, error) {
 	return b, nil
 }
 
-// AppendFrame implements FrameEncoder.
+// AppendFrame serializes env (length prefix included) onto dst and
+// returns the extended slice. The result is owned by the caller — this
+// is the entry point for vectored writes, where every frame of a batch
+// needs its own backing buffer.
 func (e *BinaryEncoder) AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
@@ -178,18 +129,6 @@ func (e *BinaryEncoder) AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
 	return dst, nil
-}
-
-// AppendFrame is EncodeFrame for the gob stream codec, encoding onto a
-// caller-owned buffer so gob frames can join a vectored write batch. The
-// bytes still belong to this encoder's single logical stream and must be
-// delivered in order.
-func (e *StreamEncoder) AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
-	b, err := e.EncodeFrame(env)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, b...), nil
 }
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -592,8 +531,9 @@ const (
 
 // BinaryDecoder decodes binary-codec frames. Stateless across frames
 // except for the intern table and borrowed-mode scratch, so frames may
-// be lost or reordered without desynchronizing it (unlike a gob stream).
-// Not safe for concurrent use: each connection reader owns one.
+// be lost or reordered without desynchronizing it. A frame without the
+// binaryKindFlag bit, a truncated one, or one with trailing bytes is an
+// error. Not safe for concurrent use: each connection reader owns one.
 type BinaryDecoder struct {
 	tab map[string]string
 	scr binScratch
@@ -873,49 +813,4 @@ func (d *BinaryDecoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message,
 		return nil, fmt.Errorf("wire: decode: unknown binary message kind %d", k)
 	}
 	return msg, nil
-}
-
-// ---------------------------------------------------------------------------
-// Auto-detecting decoder
-// ---------------------------------------------------------------------------
-
-// Decoder decodes one logical connection's inbound frames, detecting the
-// peer's codec per frame: payloads whose first byte has the high bit set
-// are binary-codec frames, the rest belong to the connection's gob
-// stream. Both ends of a connection may therefore be configured with
-// different codecs (mixed-version clusters, staged rollouts). Not safe
-// for concurrent use: each connection reader owns one.
-type Decoder struct {
-	bin BinaryDecoder
-	gob *StreamDecoder // lazy: most connections never see a gob frame
-}
-
-// NewDecoder returns a decoder for a new connection.
-func NewDecoder() *Decoder {
-	return &Decoder{bin: BinaryDecoder{tab: make(map[string]string)}}
-}
-
-// DecodeInto decodes the next de-framed payload into env. Messages are
-// fully owned (see BinaryDecoder.DecodeInto; the gob path always
-// allocates fresh).
-func (d *Decoder) DecodeInto(frame []byte, env *Envelope) error {
-	if len(frame) < 1 {
-		return fmt.Errorf("wire: decode: empty frame")
-	}
-	if frame[0]&binaryKindFlag != 0 {
-		return d.bin.DecodeInto(frame, env)
-	}
-	if d.gob == nil {
-		d.gob = NewStreamDecoder()
-	}
-	return d.gob.DecodeInto(frame, env)
-}
-
-// Decode is DecodeInto returning the envelope by value.
-func (d *Decoder) Decode(frame []byte) (Envelope, error) {
-	var env Envelope
-	if err := d.DecodeInto(frame, &env); err != nil {
-		return Envelope{}, err
-	}
-	return env, nil
 }

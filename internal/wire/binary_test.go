@@ -152,35 +152,6 @@ func TestBinaryOwnedSurvivesReuse(t *testing.T) {
 	}
 }
 
-// TestDecoderAutoDetect feeds one auto-detecting Decoder an interleaved
-// mix of binary and gob frames, as a reader sees during a mixed-codec
-// rollout.
-func TestDecoderAutoDetect(t *testing.T) {
-	bin := NewBinaryEncoder()
-	gob := NewStreamEncoder()
-	dec := NewDecoder()
-	for i, env := range binaryEnvelopes() {
-		var frame []byte
-		var err error
-		if i%2 == 0 {
-			frame, err = bin.Encode(&env)
-		} else {
-			frame, err = gob.Encode(&env)
-		}
-		if err != nil {
-			t.Fatalf("encode %s: %v", Kind(env.Msg), err)
-		}
-		got, err := dec.Decode(frame)
-		if err != nil {
-			t.Fatalf("decode %s: %v", Kind(env.Msg), err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Errorf("auto-detect round trip of %s:\n got %#v\nwant %#v",
-				Kind(env.Msg), got, env)
-		}
-	}
-}
-
 // TestBinaryDeterministic: encoding the same envelope must produce the
 // same bytes every time, including map-carrying messages (CommitVP.Prevs
 // is encoded in sorted key order).
@@ -323,48 +294,42 @@ func TestBinaryRoundTripAllocBudget(t *testing.T) {
 	}
 }
 
-// TestCodecSelection covers the flag-facing surface: ParseCodec,
-// CodecID.String, and NewFrameEncoder returning the right implementation.
-func TestCodecSelection(t *testing.T) {
-	cases := []struct {
-		in   string
-		want CodecID
-		err  bool
-	}{
-		{"binary", CodecBinary, false},
-		{"", CodecBinary, false},
-		{"gob", CodecGob, false},
-		{"protobuf", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseCodec(c.in)
-		if (err != nil) != c.err || (err == nil && got != c.want) {
-			t.Errorf("ParseCodec(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if CodecBinary.String() != "binary" || CodecGob.String() != "gob" {
-		t.Fatal("CodecID strings wrong")
-	}
-	if _, ok := NewFrameEncoder(CodecBinary).(*BinaryEncoder); !ok {
-		t.Fatal("NewFrameEncoder(CodecBinary) not a BinaryEncoder")
-	}
-	if _, ok := NewFrameEncoder(CodecGob).(*StreamEncoder); !ok {
-		t.Fatal("NewFrameEncoder(CodecGob) not a StreamEncoder")
-	}
-	// Either encoder's frames must decode through the auto-detecting
-	// Decoder.
-	for _, id := range []CodecID{CodecBinary, CodecGob} {
-		enc := NewFrameEncoder(id)
-		dec := NewDecoder()
-		env := Envelope{From: 1, To: 2, Msg: Probe{From: 1, VP: model.VPID{N: 1, P: 1}, Seq: 4}}
+// TestWireRoundTripAllocs is the allocation gate for the transport's
+// decode mode: a warm round-trip through EncodeFrame and the owning
+// DecodeInto (what TCPNode and Client run per frame) stays within 2
+// allocations for a message without slice fields.
+func TestWireRoundTripAllocs(t *testing.T) {
+	enc := NewBinaryEncoder()
+	dec := NewBinaryDecoder()
+	env := Envelope{From: 1, To: 2, Msg: Probe{From: 1, VP: model.VPID{N: 3, P: 1}, Seq: 7}}
+	var out Envelope
+	allocs := testing.AllocsPerRun(200, func() {
 		frame, err := enc.EncodeFrame(&env)
 		if err != nil {
-			t.Fatalf("%v: %v", id, err)
+			t.Fatal(err)
 		}
-		got, err := dec.Decode(frame[FrameHeaderLen:])
-		if err != nil || !reflect.DeepEqual(got, env) {
-			t.Fatalf("%v frame through Decoder: %v %#v", id, err, got)
+		if err := dec.DecodeInto(frame[FrameHeaderLen:], &out); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs > 2 {
+		t.Fatalf("warm envelope round-trip costs %.1f allocs/op, want <= 2", allocs)
+	}
+	if !reflect.DeepEqual(out, env) {
+		t.Fatalf("got %#v want %#v", out, env)
+	}
+}
+
+// TestEncodeFrameFraming checks the frame bound: a payload over MaxFrame
+// is refused at encode time, so a sender never emits a frame its peer's
+// reader must reject.
+func TestEncodeFrameFraming(t *testing.T) {
+	big := Envelope{From: 1, To: 2, Msg: RecoverRead{Obj: model.ObjectID(bytes.Repeat([]byte{'x'}, MaxFrame))}}
+	if _, err := NewBinaryEncoder().EncodeFrame(&big); err == nil {
+		t.Fatal("EncodeFrame accepted a payload over MaxFrame")
+	}
+	if _, err := NewBinaryEncoder().AppendFrame(nil, &big); err == nil {
+		t.Fatal("AppendFrame accepted a payload over MaxFrame")
 	}
 }
 

@@ -65,49 +65,3 @@ func BenchmarkWireRoundTripOwned(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkWireRoundTripGob measures the fallback streaming gob codec on
-// a warm connection: persistent codecs, type descriptors paid once at
-// connection setup, not per message.
-func BenchmarkWireRoundTripGob(b *testing.B) {
-	env := benchEnvelope()
-	enc := NewStreamEncoder()
-	dec := NewStreamDecoder()
-	// Warm the stream: ship the type descriptors once.
-	frame, err := enc.Encode(&env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := dec.Decode(frame); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := enc.Encode(&env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dec.Decode(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireRoundTripPerMessage is the seed baseline: a fresh gob
-// encoder and decoder per message, re-shipping type descriptors every
-// time. Kept so the streaming win stays measurable.
-func BenchmarkWireRoundTripPerMessage(b *testing.B) {
-	env := benchEnvelope()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := Encode(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Decode(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -14,11 +14,10 @@ import (
 // non-zero, with a trace id that exercises the full uvarint width.
 var tracedCtx = model.TraceCtx{Trace: 0x9E3779B97F4A7C15, Span: 0x01000007, Parent: 0xFF000001}
 
-// TestCtxRoundTripBothCodecs pushes a traced envelope of every message
-// kind through both codecs and the auto-detecting decoder: the context
-// must survive byte-exactly, and the message must be unaffected by its
-// presence.
-func TestCtxRoundTripBothCodecs(t *testing.T) {
+// TestCtxRoundTrip pushes a traced envelope of every message kind
+// through the codec: the context must survive byte-exactly, and the
+// message must be unaffected by its presence.
+func TestCtxRoundTrip(t *testing.T) {
 	for _, base := range binaryEnvelopes() {
 		env := base
 		env.Ctx = tracedCtx
@@ -27,23 +26,6 @@ func TestCtxRoundTripBothCodecs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: binary encode: %v", Kind(env.Msg), err)
 		}
-		gob, err := NewStreamEncoder().Encode(&env)
-		if err != nil {
-			t.Fatalf("%s: gob encode: %v", Kind(env.Msg), err)
-		}
-		for name, frame := range map[string][]byte{"binary": bin, "gob": gob} {
-			out, err := NewDecoder().Decode(frame)
-			if err != nil {
-				t.Fatalf("%s via %s: decode: %v", Kind(env.Msg), name, err)
-			}
-			if out.Ctx != tracedCtx {
-				t.Errorf("%s via %s: ctx drifted: got %+v", Kind(env.Msg), name, out.Ctx)
-			}
-			if out.From != env.From || out.To != env.To {
-				t.Errorf("%s via %s: routing drifted: %+v", Kind(env.Msg), name, out)
-			}
-		}
-		// Binary round-trips must stay exact with the context aboard.
 		out, err := NewBinaryDecoder().Decode(bin)
 		if err != nil {
 			t.Fatal(err)
@@ -57,8 +39,8 @@ func TestCtxRoundTripBothCodecs(t *testing.T) {
 
 // TestCtxZeroFramesUnchanged is the compatibility contract: an envelope
 // with the zero context encodes to the exact bytes the pre-tracing wire
-// format produced — no flag bit, no context bytes — in both codecs. This
-// is what keeps untraced runs (and golden traces) byte-identical.
+// format produced — no flag bit, no context bytes. This is what keeps
+// untraced runs (and golden traces) byte-identical.
 func TestCtxZeroFramesUnchanged(t *testing.T) {
 	for _, env := range binaryEnvelopes() {
 		plain, err := NewBinaryEncoder().Encode(&env)
@@ -80,23 +62,6 @@ func TestCtxZeroFramesUnchanged(t *testing.T) {
 		if len(tb) <= len(plain) {
 			t.Errorf("%s: traced frame (%d bytes) not longer than plain (%d)",
 				Kind(env.Msg), len(tb), len(plain))
-		}
-
-		gplain, err := NewStreamEncoder().Encode(&env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gtraced, err := NewStreamEncoder().Encode(&traced)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Encode (unlike EncodeFrame) carries no length prefix: the kind
-		// tag is the first byte in both codecs.
-		if gplain[0]&ctxKindFlag != 0 {
-			t.Errorf("%s: zero-ctx gob frame carries ctx flag", Kind(env.Msg))
-		}
-		if gtraced[0]&ctxKindFlag == 0 {
-			t.Errorf("%s: traced gob frame missing ctx flag", Kind(env.Msg))
 		}
 	}
 }
@@ -139,23 +104,17 @@ func TestCtxTruncatedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gob, err := NewStreamEncoder().Encode(&env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, frame := range map[string][]byte{"binary": bin, "gob": gob} {
-		for cut := 0; cut < len(frame); cut++ {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s[:%d]: decode panicked: %v", name, cut, r)
-					}
-				}()
-				if _, err := NewDecoder().Decode(frame[:cut]); err == nil {
-					t.Errorf("%s[:%d]: truncated traced frame decoded without error", name, cut)
+	for cut := 0; cut < len(bin); cut++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("[:%d]: decode panicked: %v", cut, r)
 				}
 			}()
-		}
+			if _, err := NewBinaryDecoder().Decode(bin[:cut]); err == nil {
+				t.Errorf("[:%d]: truncated traced frame decoded without error", cut)
+			}
+		}()
 	}
 }
 

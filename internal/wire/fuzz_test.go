@@ -11,10 +11,23 @@ import (
 	"testing"
 )
 
-// fuzzSeeds returns one self-contained frame per message kind per codec:
-// binary frames from a shared encoder (stateless between messages), gob
-// frames each from a fresh StreamEncoder so the frame carries its own
-// type descriptors and decodes standalone.
+// unflagged returns a copy of a binary frame with binaryKindFlag cleared:
+// the shape of a frame from a peer that does not speak the binary codec
+// (the retired gob stream codec wrote the bare kind byte). The decoder
+// must reject it.
+func unflagged(b []byte) []byte {
+	out := append([]byte(nil), b...)
+	if len(out) > 0 {
+		out[0] &^= binaryKindFlag
+	}
+	return out
+}
+
+// fuzzSeeds returns two frames per message kind: the binary frame, and
+// the same frame with the binary flag cleared, which must be rejected.
+// The pairing keeps each kind's checked-in seed-NN files at the indices
+// they were written at (the odd indices once held gob frames, which are
+// still in testdata and still rejection seeds).
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	bin := NewBinaryEncoder()
@@ -23,12 +36,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatalf("seed encode %s: %v", Kind(env.Msg), err)
 		}
-		seeds = append(seeds, append([]byte(nil), b...))
-		g, err := NewStreamEncoder().Encode(&env)
-		if err != nil {
-			tb.Fatalf("seed gob encode %s: %v", Kind(env.Msg), err)
-		}
-		seeds = append(seeds, append([]byte(nil), g...))
+		seeds = append(seeds, append([]byte(nil), b...), unflagged(b))
 	}
 	return seeds
 }
@@ -52,39 +60,31 @@ func fuzzExtraSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatalf("batch binary seed: %v", err)
 	}
-	gob, err := NewStreamEncoder().Encode(&env)
-	if err != nil {
-		tb.Fatalf("batch gob seed: %v", err)
-	}
 	dup := append(append([]byte(nil), bin...), bin...)
 	var seeds [][]byte
 	seeds = append(seeds, append([]byte(nil), bin...))
-	seeds = append(seeds, append([]byte(nil), gob...))
+	seeds = append(seeds, unflagged(bin))
 	seeds = append(seeds, dup)                                          // duplicate delivery
 	seeds = append(seeds, append([]byte(nil), bin[:len(bin)/2]...))     // truncated mid-payload
 	seeds = append(seeds, append([]byte(nil), bin[:FrameHeaderLen]...)) // header only
-	seeds = append(seeds, append([]byte(nil), gob[:len(gob)/2]...))     // truncated gob
+	seeds = append(seeds, unflagged(bin[:len(bin)/2]))                  // truncated, unflagged
 
-	// Trace-context shapes: the same envelope with a context aboard, in
-	// both codecs, plus a frame cut inside the context uvarints — right
-	// after the kind tag and routing bytes — so the fuzzer starts from
-	// the ctx decode path's error branches, not only its happy path.
-	// (The ctx-absent shape is every seed above.)
+	// Trace-context shapes: the same envelope with a context aboard, plus
+	// frames cut inside the context uvarints — right after the kind tag
+	// and routing bytes — so the fuzzer starts from the ctx decode path's
+	// error branches, not only its happy path. (The ctx-absent shape is
+	// every seed above.)
 	tenv := env
 	tenv.Ctx = tracedCtx
 	tbin, err := NewBinaryEncoder().Encode(&tenv)
 	if err != nil {
 		tb.Fatalf("traced binary seed: %v", err)
 	}
-	tgob, err := NewStreamEncoder().Encode(&tenv)
-	if err != nil {
-		tb.Fatalf("traced gob seed: %v", err)
-	}
 	seeds = append(seeds, append([]byte(nil), tbin...))
-	seeds = append(seeds, append([]byte(nil), tgob...))
+	seeds = append(seeds, unflagged(tbin))
 	seeds = append(seeds, append([]byte(nil), tbin[:4]...)) // kind+From+To, ctx truncated away
 	seeds = append(seeds, append([]byte(nil), tbin[:8]...)) // cut mid-ctx-uvarint
-	seeds = append(seeds, append([]byte(nil), tgob[:4]...)) // gob cut before ctx completes
+	seeds = append(seeds, unflagged(tbin[:4]))              // unflagged, cut before ctx completes
 	return seeds
 }
 
@@ -94,13 +94,11 @@ func allFuzzSeeds(tb testing.TB) [][]byte {
 	return append(fuzzSeeds(tb), fuzzExtraSeeds(tb)...)
 }
 
-// FuzzCodecRoundTrip drives the auto-detecting Decoder with arbitrary
-// bytes. Properties: decoding never panics regardless of input; any
-// frame that decodes successfully re-encodes through the binary codec
-// deterministically and round-trips to an identical envelope; a frame
-// that was binary-encoded to begin with re-encodes to the same payload
-// it arrived as (encode→decode→encode is the identity on canonical
-// frames).
+// FuzzCodecRoundTrip drives the transport's decoder with arbitrary
+// bytes. Properties: decoding never panics regardless of input; a frame
+// without the binary flag never decodes; any frame that decodes
+// successfully re-encodes deterministically and round-trips to an
+// identical envelope.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, s := range allFuzzSeeds(f) {
 		f.Add(s)
@@ -109,10 +107,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0x80})
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder()
-		env, err := dec.Decode(data)
+		env, err := NewBinaryDecoder().Decode(data)
 		if err != nil {
 			return // garbage is allowed to fail, never to panic
+		}
+		if data[0]&binaryKindFlag == 0 {
+			t.Fatalf("frame without the binary flag decoded as %#v", env)
 		}
 		enc := NewBinaryEncoder()
 		b1, err := enc.Encode(&env)
@@ -130,22 +130,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("binary encoding not deterministic:\n %x\nvs %x", b1, b2)
 		}
-		// For a binary-origin frame the decoded value must match the
-		// original exactly. (Gob-origin frames are only checked for
-		// stability above: gob's zero-field elision makes nil-vs-empty
-		// slice distinctions unrepresentable.)
-		if len(data) > 0 && data[0]&binaryKindFlag != 0 {
-			if !reflect.DeepEqual(env, env2) {
-				t.Fatalf("binary round trip drifted:\n got %#v\nwant %#v", env2, env)
-			}
+		if !reflect.DeepEqual(env, env2) {
+			t.Fatalf("binary round trip drifted:\n got %#v\nwant %#v", env2, env)
 		}
 	})
 }
 
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus under
 // testdata/fuzz/FuzzCodecRoundTrip. Run with WRITE_FUZZ_CORPUS=1 after
-// changing the wire format; corpus entries are go-fuzz v1 files, one per
-// (kind, codec) pair.
+// changing the wire format; corpus entries are go-fuzz v1 files.
+// Regenerating replaces the gob-origin seeds at the odd indices with
+// unflagged binary frames; both are rejection seeds.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the seed corpus")
@@ -207,7 +202,7 @@ func decodeGracefully(t *testing.T, name string, data []byte) {
 			t.Fatalf("%s: Decode panicked: %v (input %x)", name, r, data)
 		}
 	}()
-	env, err := NewDecoder().Decode(data)
+	env, err := NewBinaryDecoder().Decode(data)
 	if err != nil {
 		return
 	}
@@ -220,7 +215,7 @@ func decodeGracefully(t *testing.T, name string, data []byte) {
 // mutations a faulty nemesis-era link produces — truncation at every
 // prefix length, duplicate (self-concatenated) delivery, and single-bit
 // corruption at every position — and demands a graceful error, never a
-// panic, from the auto-detecting decoder.
+// panic, from the transport's decoder.
 func TestDecoderGracefulOnMutations(t *testing.T) {
 	for name, seed := range readCorpus(t) {
 		decodeGracefully(t, name, seed)
@@ -235,5 +230,42 @@ func TestDecoderGracefulOnMutations(t *testing.T) {
 				decodeGracefully(t, fmt.Sprintf("%s^bit(%d,%d)", name, i, bit), m)
 			}
 		}
+	}
+}
+
+// TestDecodeGarbage: every checked-in corpus seed whose first byte lacks
+// the binary flag — the gob-origin seeds among them — is rejected by the
+// decoder the transport uses, so a frame from a peer on another codec
+// ends in a dropped connection (an omission), never in a misread
+// message. Every binary-origin seed that decodes re-encodes to exactly
+// the bytes it arrived as.
+func TestDecodeGarbage(t *testing.T) {
+	var rejected, canonical int
+	for name, seed := range readCorpus(t) {
+		env, err := NewBinaryDecoder().Decode(seed)
+		if len(seed) == 0 || seed[0]&binaryKindFlag == 0 {
+			if err == nil {
+				t.Errorf("%s: unflagged frame decoded as %#v", name, env)
+			}
+			rejected++
+			continue
+		}
+		if err != nil {
+			continue // truncated or duplicated binary frame
+		}
+		b, err := NewBinaryEncoder().Encode(&env)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", name, err)
+		}
+		if !bytes.Equal(b, seed) {
+			t.Errorf("%s: re-encoded bytes differ:\n got %x\nwant %x", name, b, seed)
+		}
+		canonical++
+	}
+	if rejected == 0 || canonical == 0 {
+		t.Fatalf("corpus lacks a shape: %d unflagged seeds, %d canonical binary seeds", rejected, canonical)
+	}
+	if _, err := NewBinaryDecoder().Decode([]byte("not a binary frame")); err == nil {
+		t.Fatal("expected error decoding garbage")
 	}
 }

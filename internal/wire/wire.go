@@ -4,7 +4,8 @@
 // two-phase commit), and client requests/results.
 //
 // Messages are plain structs. The in-memory transports pass them by
-// value; the TCP transport encodes them with encoding/gob (see codec.go).
+// value; the TCP transport and the client encode them with the binary
+// codec (see binary.go).
 package wire
 
 import (
@@ -19,7 +20,7 @@ import (
 type Message any
 
 // Envelope is a routed message. Ctx, when non-zero, carries the causal
-// trace context of the send; both codecs encode it behind a flag bit so
+// trace context of the send; the codec encodes it behind a flag bit so
 // untraced frames are byte-identical to the pre-tracing wire format.
 type Envelope struct {
 	From model.ProcID
